@@ -143,8 +143,7 @@ def test_skewed_spool_elastic_wall_clock():
     assert elastic_wall_s <= 1.2 * ideal_s, (
         f"skewed spool campaign took {elastic_wall_s:.2f}s against an ideal "
         f"packing of {ideal_s:.2f}s ({elastic_wall_s / ideal_s:.2f}x > 1.2x); "
-        "elastic scheduling (adaptive shards / stealing / speculation) has "
-        "regressed"
+        "spool scheduling has regressed"
     )
 
 

@@ -16,18 +16,15 @@ machines using nothing but a shared filesystem (NFS mount, bind mount,
 * :mod:`repro.distributed.cache` — :class:`CacheIndex`, the
   content-addressed result cache shared across campaigns and hosts, keyed
   by ``sha256(scenario source + canonical params + seed)``;
-* :mod:`repro.distributed.scheduler` — the elastic policies layered on
-  the spool: adaptive shard sizing, straggler speculation, work-stealing
-  splits, per-cell wall-clock deadlines (:class:`CellTimeout`), worker
-  health scoring, and the offline :func:`fsck_spool` audit/repair.
+* :mod:`repro.distributed.scheduler` — the gray-failure policies layered
+  on the spool: per-cell wall-clock deadlines (:class:`CellTimeout`),
+  worker health scoring, and the offline :func:`fsck_spool` audit/repair.
 """
 
 from repro.distributed.cache import CacheIndex
 from repro.distributed.coordinator import SpoolBackend, SpoolDispatchError, merge_spool_results
 from repro.distributed.scheduler import (
     CellTimeout,
-    ElapsedStats,
-    ElasticScheduler,
     WorkerHealth,
     cell_deadline,
     fsck_spool,
@@ -46,8 +43,6 @@ __all__ = [
     "CellTimeout",
     "ClaimedTask",
     "DEFAULT_MAX_TASK_ATTEMPTS",
-    "ElapsedStats",
-    "ElasticScheduler",
     "Spool",
     "SpoolBackend",
     "SpoolDispatchError",

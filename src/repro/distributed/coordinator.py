@@ -32,15 +32,10 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.distributed.scheduler import (
-    DEFAULT_ADAPTIVE_TARGET_S,
-    DEFAULT_SPECULATION_K,
-    DEFAULT_SPLIT_MIN_CELLS,
-    ElasticScheduler,
-)
 from repro.distributed.spool import (
+    CAMPAIGN_ENV,
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_TASK_ATTEMPTS,
     Spool,
@@ -59,10 +54,14 @@ from repro.resilience.faults import GENERATION_ENV, inject
 logger = logging.getLogger(__name__)
 
 
+#: Cells per recovery task published by :func:`republish_missing`.
+RECOVERY_TASK_CELLS = 32
+
+
 def _campaign_id(
     payload: str,
     cells: Sequence[Tuple[Dict[str, Any], int, int]],
-    task_size: Union[int, str],
+    task_size: int,
 ) -> str:
     """Content id of a campaign's exact work list (scenario + cells + sharding).
 
@@ -75,6 +74,48 @@ def _campaign_id(
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def republish_missing(
+    spool: Spool,
+    scenario: str,
+    cells: Sequence[Tuple[Dict[str, Any], int, int]],
+    publish: Callable[[SpoolTask], None],
+) -> List[SpoolTask]:
+    """Recovery of last resort: re-publish cells no task covers any more.
+
+    A torn shard found while its writer still holds the claim cannot be
+    republished per task — the writer then releases the claim and the task
+    file is gone.  When the queue drains with run-list indices still
+    unfilled, the missing cells come back as ``task-rNNNNN`` tasks of up to
+    :data:`RECOVERY_TASK_CELLS` cells.  The ``task-r`` prefix sorts after
+    every numeric id, so recovery work queues behind real work; numbering
+    continues past any recovery id the spool already holds (a resumed
+    campaign may).  Returns the published tasks.
+    """
+    taken = [
+        int(task_id[6:])
+        for ids in (
+            spool.pending_task_ids(),
+            spool.claimed_task_ids(),
+            spool.completed_task_ids(),
+            spool.quarantined_task_ids(),
+        )
+        for task_id in ids
+        if task_id.startswith("task-r") and task_id[6:].isdigit()
+    ]
+    first = max(taken, default=-1) + 1
+    tasks = [
+        SpoolTask(
+            task_id=f"task-r{first + number:05d}",
+            scenario=scenario,
+            cells=tuple(cells[start : start + RECOVERY_TASK_CELLS]),
+        )
+        for number, start in enumerate(range(0, len(cells), RECOVERY_TASK_CELLS))
+    ]
+    for task in tasks:
+        publish(task)
+    return tasks
 
 
 class SpoolDispatchError(RuntimeError):
@@ -96,7 +137,7 @@ class SpoolBackend(ExecutionBackend):
         spool_root: Union[str, os.PathLike],
         workers: int = 0,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        task_size: Union[int, str] = 1,
+        task_size: int = 1,
         poll_interval: float = 0.05,
         timeout: Optional[float] = None,
         worker_cache_root: Optional[Union[str, os.PathLike]] = None,
@@ -105,9 +146,6 @@ class SpoolBackend(ExecutionBackend):
         max_respawns: int = 0,
         worker_retries: Optional[int] = None,
         cell_timeout: Optional[float] = None,
-        split_min_cells: int = DEFAULT_SPLIT_MIN_CELLS,
-        speculation_k: float = DEFAULT_SPECULATION_K,
-        adaptive_target_s: float = DEFAULT_ADAPTIVE_TARGET_S,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -115,26 +153,14 @@ class SpoolBackend(ExecutionBackend):
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+        if not isinstance(task_size, int) or task_size < 1:
+            raise ValueError(f"task_size must be an int >= 1, got {task_size!r}")
         self.spool = Spool(
             spool_root, lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
         )
         self.workers = int(workers)
-        #: ``"adaptive"`` (or ``"auto"``) sizes shards from a probe wave's
-        #: observed cell runtimes instead of a fixed cell count.
-        if isinstance(task_size, str):
-            if task_size not in ("adaptive", "auto"):
-                raise ValueError(
-                    f"task_size must be an int, 'adaptive' or 'auto', got {task_size!r}"
-                )
-            self.adaptive = True
-            self.task_size: Union[int, str] = "adaptive"
-        else:
-            self.adaptive = False
-            self.task_size = int(task_size)
+        self.task_size = task_size
         self.cell_timeout = cell_timeout
-        self.split_min_cells = int(split_min_cells)
-        self.speculation_k = float(speculation_k)
-        self.adaptive_target_s = float(adaptive_target_s)
         self.poll_interval = float(poll_interval)
         self.timeout = timeout
         self.worker_cache_root = worker_cache_root
@@ -166,59 +192,29 @@ class SpoolBackend(ExecutionBackend):
             )
         cells = [(run_spec.params, run_spec.seed, run_spec.index) for run_spec in pending]
         campaign_id = _campaign_id(payload, cells, self.task_size)
-        scheduler = ElasticScheduler(
-            self.spool,
-            payload,
-            publish=self._publish,
-            make_task=lambda task_id, task_cells: SpoolTask(
-                task_id=task_id, scenario=payload, cells=tuple(task_cells)
-            ),
-            speculation_k=self.speculation_k,
-            speculation_min_age_s=max(0.5, 4.0 * self.poll_interval),
-            adaptive_target_s=self.adaptive_target_s,
-        )
+        tasks = shard_cells(cells, payload, self.task_size)
         metadata = {
             "scenario": spec.name,
             "cells": len(cells),
             "task_size": self.task_size,
             "campaign_id": campaign_id,
+            "tasks": len(tasks),
         }
         if self.cell_timeout is not None:
             metadata["cell_timeout"] = self.cell_timeout
-        if self.split_min_cells >= 2:
-            metadata["split_min_cells"] = self.split_min_cells
         if TRACER.enabled:
             metadata["trace_id"] = TRACER.trace_id
-        if self.adaptive:
-            # Adaptive campaigns never resume: the task set depends on the
-            # probe wave's measured runtimes, so an interrupted one's ids
-            # would not line up.  Purge and republish — completed cells are
-            # still cheap to recover via the content-addressed cache.
-            tasks = None
-            recovery = None
+        recovery = self._try_resume(campaign_id, tasks, metadata)
+        if recovery is None:
             self.spool.initialise(metadata=metadata)
-            probes = scheduler.plan_probes(cells)
-            for task in probes:
-                self._publish(task)
-            published_tasks = len(probes)
-        else:
-            tasks = shard_cells(cells, payload, self.task_size)
             for task in tasks:
-                scheduler.register_published(task.task_id, cells=len(task.cells))
-            metadata["tasks"] = len(tasks)
-            recovery = self._try_resume(campaign_id, tasks, metadata)
-            if recovery is None:
-                self.spool.initialise(metadata=metadata)
-                for task in tasks:
-                    self._publish(task)
-            published_tasks = len(tasks)
+                self._publish(task)
 
         # The coordinator's own progress file lives inside the spool, where
         # `status <spool>` (and workers on other hosts) can see it; the
         # runner's tracker — when a store is attached — is fed the same
         # per-cell completions via ``progress``.
         events = EventLog(self.spool.events_path, source="coordinator")
-        scheduler.events = events
         tracker = ProgressTracker(
             self.spool.progress_path, scenario=spec.name, backend=self.name
         )
@@ -242,42 +238,30 @@ class SpoolBackend(ExecutionBackend):
                 "campaign_start",
                 scenario=spec.name,
                 cells=len(cells),
-                tasks=published_tasks,
+                tasks=len(tasks),
                 workers=self.workers,
             )
-        task_by_id = {task.task_id: task for task in tasks} if tasks else {}
         worker_slots: List[Dict[str, Any]] = [
             {"process": self._spawn_worker(), "generation": 0, "reported": False}
             for _ in range(self.workers)
         ]
         ok = False
-        ingested: Set[str] = set()
         try:
-            ingested = self._collect(
+            self._collect(
                 pending,
                 records,
+                payload,
+                {task.task_id: task for task in tasks},
                 worker_slots,
                 events=events,
                 trackers=trackers,
-                scheduler=scheduler,
-                task_by_id=task_by_id,
             )
             ok = True
         finally:
             # Let workers observe completion (or failure) and exit cleanly.
-            self.spool.mark_complete()
+            self.spool.mark_complete(campaign_id)
             events.emit("campaign_complete", ok=ok)
             self._join_workers([slot["process"] for slot in worker_slots])
-            if ok and scheduler is not None:
-                # A speculative race (or split re-run) can resolve with the
-                # losing worker still mid-task; its byte-identical shard
-                # lands during the drain, after every cell is filled.  It
-                # is never merged — record the discard so the race stays
-                # visible in the event log and the scheduler counters.
-                self._discard_late_shards(pending, ingested, scheduler, events)
-                counters = {k: v for k, v in scheduler.counters.items() if v}
-                if counters:
-                    tracker.set_scheduler(counters)
             tracker.finish(complete=ok)
 
     def finalize(self, spec: ScenarioSpec) -> None:
@@ -397,18 +381,21 @@ class SpoolBackend(ExecutionBackend):
         # Respawned workers run at the next fault generation so that
         # generation-gated chaos rules (max_generation: 0) spare them.
         env[GENERATION_ENV] = str(generation)
+        # The campaign id lets the worker trust this campaign's completion
+        # marker even when it starts after the marker was written.
+        env[CAMPAIGN_ENV] = str(self.spool.metadata().get("campaign_id", ""))
         return subprocess.Popen(command, stdout=subprocess.DEVNULL, env=env)
 
     def _collect(
         self,
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
+        scenario: str,
+        task_by_id: Dict[str, SpoolTask],
         worker_slots: Optional[List[Dict[str, Any]]] = None,
         events: Optional[EventLog] = None,
         trackers: Sequence[ProgressTracker] = (),
-        scheduler: Optional[ElasticScheduler] = None,
-        task_by_id: Optional[Dict[str, SpoolTask]] = None,
-    ) -> Set[str]:
+    ) -> None:
         expected: Set[int] = {run_spec.index for run_spec in pending}
         # Accept a shard record only when it is for this campaign's cell:
         # a stale worker from a previous campaign on the same spool may
@@ -421,8 +408,9 @@ class SpoolBackend(ExecutionBackend):
         }
         filled: Set[int] = set()
         #: Indices filled with *synthesised* quarantine failures: a real
-        #: shard arriving later (speculative copy, split half) still heals
-        #: them, keeping the merged store as close to serial as possible.
+        #: shard arriving later (a stalled worker finishing, a recovery
+        #: task) still heals them, keeping the merged store as close to
+        #: serial as possible.
         synthesized: Set[int] = set()
         ingested: Set[str] = set()
         #: mtime at which an unmatched (stale) shard was last parsed, so the
@@ -460,16 +448,16 @@ class SpoolBackend(ExecutionBackend):
                     stale_shard_mtime.pop(task_id, None)
                     if events is not None:
                         events.emit("shard_torn", task=task_id)
-                    task = (task_by_id or {}).get(task_id)
+                    task = task_by_id.get(task_id)
                     if task is not None and not (
                         (self.spool.tasks_dir / f"{task_id}.json").exists()
                         or (self.spool.claimed_dir / f"{task_id}.json").exists()
                         or (self.spool.quarantine_dir / f"{task_id}.json").exists()
                     ):
                         self._publish(task)
-                    # Elastic task ids (splits, speculative copies, adaptive
-                    # shards) have no entry in task_by_id; their cells come
-                    # back through the drain-time republish_missing catch-all.
+                    # A claim still held here is released by its writer
+                    # right after; those cells come back through the
+                    # drain-time republish_missing catch-all.
                     continue
                 except FileNotFoundError:
                     continue
@@ -482,9 +470,9 @@ class SpoolBackend(ExecutionBackend):
                     else:
                         matched = False
                 if matched and not fresh:
-                    # Every cell already landed via an earlier shard — the
-                    # loser of a speculative race or a re-run split half.
-                    # First shard wins; this byte-identical twin is dropped.
+                    # Every cell already landed via an earlier shard (e.g. a
+                    # recovery task raced the original).  First shard wins;
+                    # this byte-identical twin is dropped.
                     ingested.add(task_id)
                     stale_shard_mtime.pop(task_id, None)
                     logger.info(
@@ -493,8 +481,6 @@ class SpoolBackend(ExecutionBackend):
                         task_id,
                         len(shard_records),
                     )
-                    if scheduler is not None:
-                        scheduler.note_superseded(task_id)
                     if events is not None:
                         events.emit(
                             "task_superseded", task=task_id, cells=len(shard_records)
@@ -512,8 +498,6 @@ class SpoolBackend(ExecutionBackend):
                 if matched:
                     ingested.add(task_id)
                     stale_shard_mtime.pop(task_id, None)
-                    if scheduler is not None:
-                        scheduler.note_ingested(task_id, len(shard_records))
                 else:
                     # A stale shard (previous campaign's straggler) occupies
                     # this task id; re-read only once its mtime changes —
@@ -529,12 +513,12 @@ class SpoolBackend(ExecutionBackend):
                 if task_id in handled_quarantine:
                     continue
                 handled_quarantine.add(task_id)
-                task = (task_by_id or {}).get(task_id)
+                task = task_by_id.get(task_id)
                 if task is None:
-                    # Elastic ids (splits, speculation, adaptive shards) are
-                    # not in task_by_id; read the quarantined task file
-                    # itself — key verification below rejects leftovers from
-                    # another campaign cell by cell.
+                    # A recovery task a previous coordinator of this resumed
+                    # campaign published is not in task_by_id; read the
+                    # quarantined task file itself — key verification below
+                    # rejects leftovers from another campaign cell by cell.
                     try:
                         task = self.spool.read_quarantined_task(task_id)
                     except (OSError, ValueError, KeyError, TypeError):
@@ -586,33 +570,22 @@ class SpoolBackend(ExecutionBackend):
             """Fold claimed-cell counts and worker heartbeats into progress."""
             if not trackers:
                 return
-            cells_map = scheduler.cells_by_task if scheduler is not None else {}
             running = sum(
-                cells_map.get(task_id, 1)
+                len(task_by_id[task_id].cells) if task_id in task_by_id else 1
                 for task_id in self.spool.claimed_task_ids()
             )
             heartbeats = self.spool.worker_heartbeats()
-            counters = (
-                {key: value for key, value in scheduler.counters.items() if value}
-                if scheduler is not None
-                else {}
-            )
             for tracker in trackers:
                 tracker.set_running(running)
                 tracker.set_workers(heartbeats)
-                if counters:
-                    tracker.set_scheduler(counters)
 
         def republish_drained_missing() -> None:
             """Recovery of last resort: the queue drained but cells are missing.
 
-            Covers elastic failure shapes the per-task republish cannot (a
-            split half's torn shard — the parent task file is consumed — or
-            a speculative copy lost with its original).  Only fires when
-            nothing is pending, claimed, held back in the backlog, or
-            sitting as an un-ingested non-stale shard.
+            Only fires when nothing is pending, claimed, or sitting as an
+            un-ingested non-stale shard (see :func:`republish_missing`).
             """
-            if scheduler is None or filled == expected or scheduler.has_backlog:
+            if filled == expected:
                 return
             if self.spool.pending_task_ids() or self.spool.claimed_task_ids():
                 return
@@ -623,14 +596,14 @@ class SpoolBackend(ExecutionBackend):
                 (spec_by_index[index].params, spec_by_index[index].seed, index)
                 for index in sorted(expected - filled)
             ]
-            republished = scheduler.republish_missing(missing)
-            if republished:
-                logger.warning(
-                    "queue drained with %d cell(s) unfilled; republished them "
-                    "as %d recovery task(s)",
-                    len(missing),
-                    republished,
-                )
+            recovery = republish_missing(self.spool, scenario, missing, self._publish)
+            task_by_id.update((task.task_id, task) for task in recovery)
+            logger.warning(
+                "queue drained with %d cell(s) unfilled; republished them "
+                "as %d recovery task(s)",
+                len(missing),
+                len(recovery),
+            )
 
         # NOTE: respawns append to the caller's list so execute()'s finally
         # block joins replacements too, not just the first wave.
@@ -639,10 +612,6 @@ class SpoolBackend(ExecutionBackend):
         started = time.time()
         while filled != expected:
             inject("coordinator.poll")
-            if scheduler is not None:
-                scheduler.observe(
-                    self.spool.pending_task_ids(), self.spool.claimed_task_ids()
-                )
             ingest_new_shards()
             absorb_quarantined()
             update_liveness()
@@ -716,40 +685,6 @@ class SpoolBackend(ExecutionBackend):
                     f"indices: {missing[:5]})"
                 )
             time.sleep(self.poll_interval)
-        return ingested
-
-    def _discard_late_shards(
-        self,
-        pending: Sequence[RunSpec],
-        ingested: Set[str],
-        scheduler: ElasticScheduler,
-        events: Optional[EventLog],
-    ) -> None:
-        """Account for straggler shards that landed after completion."""
-        key_by_index = {run_spec.index: run_spec.key for run_spec in pending}
-        for task_id in self.spool.completed_task_ids():
-            if task_id in ingested:
-                continue
-            try:
-                shard_records = self.spool.read_result_shard(task_id)
-            except (TornShardError, OSError, ValueError, KeyError):
-                continue
-            if not shard_records or not all(
-                record.key == key_by_index.get(index)
-                for index, record in shard_records
-            ):
-                continue  # another campaign's stale shard, not our straggler
-            logger.info(
-                "discarding superseded late shard %s (%d cell(s), landed "
-                "after completion)",
-                task_id,
-                len(shard_records),
-            )
-            scheduler.note_superseded(task_id)
-            if events is not None:
-                events.emit(
-                    "task_superseded", task=task_id, cells=len(shard_records)
-                )
 
     def _join_workers(self, processes: Sequence[subprocess.Popen]) -> None:
         for process in processes:

@@ -6,7 +6,7 @@ lock-free work queue::
 
     spool/
       campaign.json        # campaign metadata written by the coordinator
-      complete.marker      # written when every cell has a merged result
+      complete.marker      # "complete <campaign_id>" once every cell is merged
       tasks/task-00000.json    # pending tasks (one JSON file per task)
       claimed/task-00000.json  # claimed tasks; mtime is the lease heartbeat
       results/task-00000.jsonl # result shards (records + sha256 trailer)
@@ -60,6 +60,10 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: Default failed-claim count after which a task is quarantined as poison.
 DEFAULT_MAX_TASK_ATTEMPTS = 3
+
+#: Environment variable through which the coordinator tells the workers it
+#: spawns which campaign they serve (see :meth:`Spool.mark_complete`).
+CAMPAIGN_ENV = "REPRO_CAMPAIGN_ID"
 
 
 class TornShardError(RuntimeError):
@@ -444,72 +448,16 @@ class Spool:
             self._append_attempt(task_id, ledger_event, **extra)
         return outcome
 
-    # ---------------------------------------------------------- work stealing
-    def split_pending(self, task_id: str) -> Optional[Tuple[str, str]]:
-        """Split one oversized pending task into two pending halves.
+    def published_cell_timeout(self) -> Optional[float]:
+        """The coordinator-published per-cell deadline, if any.
 
-        The work-stealing primitive: an idle worker finding a lone pending
-        task with many cells halves it so a peer can share the load.  The
-        split is claim-shaped — atomically claim the task, publish the two
-        halves (``<id>-a``/``<id>-b``, which sort between ``<id>`` and its
-        successor so claim order still maps deterministically onto the run
-        list), then drop the parent claim.  Crash safety: dying before the
-        halves are published leaves a normal expired claim (the parent is
-        reclaimed whole); dying after leaves the parent claim to expire
-        and requeue *alongside* the halves — cells then execute twice,
-        which is harmless because every cell is deterministic and merging
-        is by run-list index.  Returns the half ids, or ``None`` when the
-        claim race was lost or the task is too small to split.
+        Read from ``campaign.json`` so every worker — spawned or started
+        by hand on another host — applies the same ``--cell-timeout``.
         """
-        claimed = self.claim(task_id)
-        if claimed is None:
-            return None
-        cells = claimed.task.cells
-        if len(cells) < 2:
-            # Re-queue rather than execute: the caller asked for a split,
-            # not a claim, and a 1-cell task cannot be halved.
-            try:
-                os.rename(claimed.claimed_path, self.tasks_dir / f"{task_id}.json")
-            except OSError:
-                pass
-            return None
-        middle = (len(cells) + 1) // 2
-        halves = (
-            SpoolTask(
-                task_id=f"{task_id}-a",
-                scenario=claimed.task.scenario,
-                cells=cells[:middle],
-                trace=claimed.task.trace,
-            ),
-            SpoolTask(
-                task_id=f"{task_id}-b",
-                scenario=claimed.task.scenario,
-                cells=cells[middle:],
-                trace=claimed.task.trace,
-            ),
-        )
-        for half in halves:
-            self.publish_task(half)
-        self.release(claimed)
-        return halves[0].task_id, halves[1].task_id
-
-    def elastic_policy(self) -> Dict[str, Any]:
-        """The coordinator-published elastic knobs workers must share.
-
-        ``cell_timeout`` (seconds, 0/absent = no deadline) and
-        ``split_min_cells`` (0/absent = work stealing off) come from
-        ``campaign.json`` so every worker — spawned or started by hand on
-        another host — applies the same policy.
-        """
-        metadata = self.metadata()
-        policy: Dict[str, Any] = {"cell_timeout": None, "split_min_cells": 0}
-        timeout = metadata.get("cell_timeout")
+        timeout = self.metadata().get("cell_timeout")
         if isinstance(timeout, (int, float)) and timeout > 0:
-            policy["cell_timeout"] = float(timeout)
-        split = metadata.get("split_min_cells")
-        if isinstance(split, int) and split >= 2:
-            policy["split_min_cells"] = split
-        return policy
+            return float(timeout)
+        return None
 
     # -------------------------------------------------------------- quarantine
     def quarantined_task_ids(self) -> List[str]:
@@ -727,11 +675,25 @@ class Spool:
             yield from self.read_result_shard(task_id)
 
     # -------------------------------------------------------------- completion
-    def mark_complete(self) -> None:
-        self._atomic_write(self.complete_marker, "complete\n")
+    def mark_complete(self, campaign_id: Optional[str] = None) -> None:
+        """Write the completion marker, naming the campaign it closes.
+
+        The id is what lets a coordinator-spawned worker (told its campaign
+        via :data:`CAMPAIGN_ENV`) trust a marker written before it started.
+        """
+        text = f"complete {campaign_id}\n" if campaign_id else "complete\n"
+        self._atomic_write(self.complete_marker, text)
 
     def is_complete(self) -> bool:
         return self.complete_marker.exists()
+
+    def completed_campaign(self) -> Optional[str]:
+        """The campaign id the completion marker names (``None`` if bare or absent)."""
+        try:
+            words = self.complete_marker.read_text(encoding="utf-8").split()
+        except OSError:
+            return None
+        return words[1] if len(words) == 2 else None
 
     def is_drained(self) -> bool:
         """No pending and no claimed tasks remain."""

@@ -17,17 +17,15 @@ polling is jittered with a seed derived from the worker id, so N idle
 workers spread their lease-rescue sweeps instead of racing the same
 expired lease in the same tick (the first rename still wins either way).
 
-Elastic behaviour (adopted from the coordinator's ``campaign.json``, so
-every worker — spawned or hand-started on another host — applies the same
-policy):
+Gray-failure handling:
 
-* **work stealing** — a worker finding exactly one oversized pending task
-  (``split_min_cells`` or more cells) splits it in two via the spool's
-  atomic rename before claiming, so an idle peer can share the load;
-* **cell deadlines** — with ``cell_timeout`` set, a ``SIGALRM`` watchdog
-  kills any cell that exceeds its wall-clock budget; the task is requeued
-  with a ``timeout`` ledger event (feeding the quarantine threshold) and
-  no shard is written, so results stay byte-identical to ``jobs=1``;
+* **cell deadlines** — with ``cell_timeout`` set (adopted from the
+  coordinator's ``campaign.json``, so every worker — spawned or
+  hand-started on another host — applies the same deadline), a ``SIGALRM``
+  watchdog kills any cell that exceeds its wall-clock budget; the task is
+  requeued with a ``timeout`` ledger event (feeding the quarantine
+  threshold) and no shard is written, so results stay byte-identical to
+  ``jobs=1``;
 * **health scoring** — task outcomes feed a rolling success/timeout/crash
   score stamped into the heartbeat; a worker whose score collapses is
   *benched* (it sleeps a penalty before each claim so healthier peers win
@@ -45,7 +43,6 @@ keeps polling.
 from __future__ import annotations
 
 import importlib
-import json
 import logging
 import os
 import random
@@ -55,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.cache import CacheIndex
 from repro.distributed.scheduler import CellTimeout, WorkerHealth, cell_deadline
-from repro.distributed.spool import ClaimedTask, Spool
+from repro.distributed.spool import CAMPAIGN_ENV, ClaimedTask, Spool
 from repro.experiments.registry import (
     ScenarioRegistry,
     UnknownScenarioError,
@@ -83,8 +80,6 @@ class WorkerStats:
     failures: int = 0
     #: Cells killed by the ``--cell-timeout`` watchdog.
     timeouts: int = 0
-    #: Oversized pending tasks this worker split in two (work stealing).
-    shards_split: int = 0
     #: Wall seconds spent executing tasks (excludes idle polling).
     busy_s: float = 0.0
     #: Why the main loop returned: "complete" | "max_tasks" | "idle_timeout".
@@ -112,8 +107,6 @@ class WorkerStats:
             payload["events_dropped"] = events_dropped
         if self.timeouts:
             payload["timeouts"] = self.timeouts
-        if self.shards_split:
-            payload["shards_split"] = self.shards_split
         if health is not None:
             payload.update(health.heartbeat_fields())
         return payload
@@ -274,34 +267,6 @@ def execute_task(
     return results
 
 
-def _maybe_split_lone_task(
-    spool: Spool, split_min: int
-) -> Optional[Tuple[str, Tuple[str, str]]]:
-    """Work stealing: halve the queue's lone pending task when oversized.
-
-    Only fires when exactly one task is pending — with more, every idle
-    worker can claim its own.  The peek at the task file races claiming
-    peers; any miss (file gone, half-written, too small, claim lost) just
-    means no split this round.
-    """
-    pending = spool.pending_task_ids()
-    if len(pending) != 1:
-        return None
-    task_id = pending[0]
-    try:
-        with (spool.tasks_dir / f"{task_id}.json").open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        cells = payload.get("cells") or []
-    except (OSError, ValueError, AttributeError):
-        return None  # claimed from under us mid-peek
-    if len(cells) < split_min:
-        return None
-    halves = spool.split_pending(task_id)
-    if halves is None:
-        return None
-    return task_id, halves
-
-
 def run_worker(
     spool_root: Union[str, os.PathLike],
     *,
@@ -315,7 +280,6 @@ def run_worker(
     worker_id: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
-    split_min_cells: Optional[int] = None,
 ) -> WorkerStats:
     """The worker main loop; returns once there is nothing left to do.
 
@@ -324,9 +288,8 @@ def run_worker(
     ``idle_timeout`` seconds (``None`` waits for the completion marker
     indefinitely).  Reclaim decisions follow the lease timeout the
     coordinator published in ``campaign.json`` unless ``lease_timeout``
-    explicitly overrides it; the same holds for ``cell_timeout`` and
-    ``split_min_cells``, which default to the campaign's published
-    elastic policy (see :meth:`Spool.elastic_policy`).
+    explicitly overrides it; the same holds for ``cell_timeout`` (see
+    :meth:`Spool.published_cell_timeout`).
     """
     _import_scenario_modules(scenario_modules)
     if registry is None:
@@ -361,11 +324,15 @@ def run_worker(
     # *previous* campaign on this spool (workers are routinely started before
     # the coordinator, whose initialise() purges the marker).  Only treat the
     # marker as authoritative once we have observed it absent — i.e. it was
-    # written during this worker's lifetime.
+    # written during this worker's lifetime — or when it names the campaign
+    # the coordinator that spawned this worker handed over in the environment.
+    own_campaign = os.environ.get(CAMPAIGN_ENV) or None
     marker_observed_absent = not spool.is_complete()
     while True:
         if spool.is_complete():
-            if marker_observed_absent:
+            if marker_observed_absent or (
+                own_campaign is not None and spool.completed_campaign() == own_campaign
+            ):
                 stats.exit_reason = "complete"
                 break
         else:
@@ -373,35 +340,13 @@ def run_worker(
         if max_tasks is not None and stats.tasks_completed >= max_tasks:
             stats.exit_reason = "max_tasks"
             break
-        if cell_timeout is None or split_min_cells is None:
-            policy = spool.elastic_policy()
-        else:
-            policy = {}
         task_deadline = (
-            cell_timeout if cell_timeout is not None else policy.get("cell_timeout")
-        )
-        split_min = (
-            split_min_cells
-            if split_min_cells is not None
-            else int(policy.get("split_min_cells") or 0)
+            cell_timeout if cell_timeout is not None else spool.published_cell_timeout()
         )
         if health.benched():
             # Benched: still working, but a penalty nap before each claim
             # race hands new tasks to healthier peers first.
             time.sleep(poll_interval * (2.0 + 2.0 * jitter.random()))
-        if split_min >= 2:
-            split = _maybe_split_lone_task(spool, split_min)
-            if split is not None:
-                parent, halves = split
-                stats.shards_split += 1
-                logger.info(
-                    "%s: split oversized task %s into %s + %s",
-                    stats.worker_id,
-                    parent,
-                    halves[0],
-                    halves[1],
-                )
-                events.emit("shard_split", task=parent, halves=list(halves))
         claimed = spool.claim_next()
         if claimed is None:
             # Nothing claimable: rescue tasks from dead peers, then wait.
@@ -526,7 +471,6 @@ def run_worker(
         cache_hits=stats.cache_hits,
         failures=stats.failures,
         timeouts=stats.timeouts,
-        shards_split=stats.shards_split,
         busy_s=round(stats.busy_s, 3),
     )
     spool.write_worker_heartbeat(

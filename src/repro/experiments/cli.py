@@ -36,9 +36,9 @@ Examples::
     python -m repro.experiments quarantine list /spool/chaos
     python -m repro.experiments quarantine retry /spool/chaos
 
-    # Elastic scheduling: adaptive shards, cell deadlines, spool fsck
+    # Gray failures: cell deadlines, spool fsck
     python -m repro.experiments run platoon/karyon --seeds 50 \\
-        --backend spool --spool /spool/platoon --task-size adaptive \\
+        --backend spool --spool /spool/platoon --task-size 4 \\
         --cell-timeout 30
     python -m repro.experiments fsck /spool/platoon --repair
 """
@@ -152,9 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(0: wait for externally-started workers; default 2)",
     )
     run_parser.add_argument(
-        "--task-size", default=None, metavar="N|adaptive",
-        help="spool only: campaign cells per spool task file (default 1), or "
-        "'adaptive' to size shards from a probe wave's measured cell runtimes",
+        "--task-size", default=None, metavar="N",
+        help="spool only: campaign cells per spool task file (default 1)",
     )
     run_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -485,20 +484,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    task_size: Any = None
+    task_size: Optional[int] = None
     if args.task_size is not None:
-        if args.task_size in ("adaptive", "auto"):
-            task_size = "adaptive"
-        else:
-            try:
-                task_size = int(args.task_size)
-            except ValueError:
-                print(
-                    f"error: --task-size must be an integer or 'adaptive', "
-                    f"got {args.task_size!r}",
-                    file=sys.stderr,
-                )
-                return 2
+        try:
+            task_size = int(args.task_size)
+        except ValueError:
+            print(
+                f"error: --task-size must be an integer, got {args.task_size!r}",
+                file=sys.stderr,
+            )
+            return 2
     if spool_requested:
         if not args.spool:
             print("error: --backend spool requires --spool DIR", file=sys.stderr)
@@ -514,7 +509,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.workers is not None and args.workers < 0:
             print("error: --workers must be >= 0", file=sys.stderr)
             return 2
-        if isinstance(task_size, int) and task_size < 1:
+        if task_size is not None and task_size < 1:
             print("error: --task-size must be >= 1", file=sys.stderr)
             return 2
         if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -1167,11 +1162,6 @@ def _format_progress(progress: CampaignProgress) -> str:
             f"{label}={count}" for label, count in sorted(progress.backend_cells.items())
         )
         parts.append(f"| cells: {cells}")
-    if progress.scheduler:
-        elastic = ", ".join(
-            f"{name}={count}" for name, count in sorted(progress.scheduler.items())
-        )
-        parts.append(f"| elastic: {elastic}")
     return " ".join(parts)
 
 
@@ -1189,9 +1179,6 @@ def _format_worker(worker_id: str, heartbeat: Dict[str, Any]) -> str:
     timeouts = heartbeat.get("timeouts", 0)
     if isinstance(timeouts, int) and timeouts > 0:
         bits.append(f", {timeouts} timeout(s)")
-    splits = heartbeat.get("shards_split", 0)
-    if isinstance(splits, int) and splits > 0:
-        bits.append(f", {splits} shard(s) split")
     health = heartbeat.get("health")
     if isinstance(health, (int, float)) and health < 1.0:
         benched = " BENCHED" if heartbeat.get("benched") else ""

@@ -272,10 +272,6 @@ def measure_skewed_spool(
                 root / "spool",
                 workers=workers,
                 task_size=1,
-                # Sleep-stalled cells are the *workload* here, not
-                # stragglers; a high threshold keeps speculation from
-                # burning a worker on byte-identical duplicates.
-                speculation_k=50.0,
                 poll_interval=0.05,
                 timeout=600.0,
             )

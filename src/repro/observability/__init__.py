@@ -26,8 +26,8 @@ ever touching the physics:
 * :mod:`repro.observability.ledger` — the per-cell ``ledger.jsonl`` run
   ledger (scenario, params hash, seed, attempts, executed_by, queue-wait
   and run durations) every backend appends to when tracing is on: the
-  machine-readable timing feed for elastic scheduling (ROADMAP 3) and the
-  control plane (ROADMAP 1).
+  machine-readable per-cell timing feed for the control plane
+  (ROADMAP 1).
 
 Layering: this package depends on the stdlib only, so every other
 subsystem (``sim``, ``experiments``, ``distributed``) may import it freely.

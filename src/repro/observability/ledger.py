@@ -2,9 +2,8 @@
 
 Every backend that executes (or cache-serves) a cell appends one row to
 ``ledger.jsonl`` describing *what ran, where, how long it queued and how
-long it took* — the per-cell record that elastic spool scheduling
-(ROADMAP 3: shard sizing, straggler re-publish) and the control plane
-(ROADMAP 1: per-tenant accounting) consume.  Rows are JSON objects:
+long it took* — the per-cell record that ``trace``/``status`` tooling
+and the control plane (ROADMAP 1: per-tenant accounting) consume.  Rows are JSON objects:
 
 ``{"v": 1, "ts": ..., "scenario": ..., "params": "<sha256[:16] of the
 canonical params payload>", "seed": ..., "key": ..., "status": "ok" |

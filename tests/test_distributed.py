@@ -24,7 +24,7 @@ from repro.distributed import (
     merge_spool_results,
     run_worker,
 )
-from repro.distributed.spool import shard_cells
+from repro.distributed.spool import CAMPAIGN_ENV, shard_cells
 from repro.experiments import (
     ParallelCampaignRunner,
     ResultStore,
@@ -36,6 +36,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.experiments.spec import parameters_from_signature
+from repro.observability.events import read_events
 
 
 def _demo_cells(seeds):
@@ -259,6 +260,40 @@ class TestWorker:
             spool.mark_complete()  # unstick the worker if the join timed out
             worker_thread.join(timeout=5.0)
         assert finished.is_set()
+
+    def test_spawned_worker_trusts_only_its_own_campaigns_marker(
+        self, tmp_path, monkeypatch
+    ):
+        """A coordinator-spawned worker that starts after its short campaign
+        already finished exits on the marker naming that campaign instead of
+        idling until the coordinator terminates it; a hand-started worker
+        (no campaign in its environment) still ignores a marker an older
+        campaign left behind."""
+        spool = Spool(tmp_path / "spool")
+        spool.initialise(metadata={"campaign_id": "campaign-b"})
+        spool.mark_complete("campaign-b")
+        assert spool.completed_campaign() == "campaign-b"
+        process = SpoolBackend(spool.root, poll_interval=0.01)._spawn_worker()
+        try:
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        (exit_event,) = [
+            event for event in read_events(spool.events_path)
+            if event["kind"] == "worker_exit"
+        ]
+        assert exit_event["reason"] == "complete"
+
+        spool.mark_complete("campaign-a")  # an older campaign's leftover
+        monkeypatch.delenv(CAMPAIGN_ENV, raising=False)
+        stats = run_worker(spool.root, idle_timeout=0.1, poll_interval=0.01)
+        assert stats.exit_reason == "idle_timeout"
+        # Nor does a spawned worker trust a marker naming another campaign.
+        monkeypatch.setenv(CAMPAIGN_ENV, "campaign-b")
+        stats = run_worker(spool.root, idle_timeout=0.1, poll_interval=0.01)
+        assert stats.exit_reason == "idle_timeout"
 
     def test_worker_uses_shared_cache(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")

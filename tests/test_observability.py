@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -483,15 +484,40 @@ class TestDistributedTracing:
 
         spool_root = tmp_path / "spool"
         trace_id = enable_tracing(spool_root, source="coordinator")
+        # Two hand-started workers with a three-task budget each drain the
+        # six single-cell tasks: both provably write, however fast either
+        # one starts.
+        import repro
+
+        env = dict(os.environ)
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.experiments", "worker", str(spool_root),
+                 "--poll", "0.01", "--max-tasks", "3", "--quiet"],
+                env=env,
+                stdout=subprocess.DEVNULL,
+            )
+            for _ in range(2)
+        ]
         try:
             backend = SpoolBackend(
-                spool_root, workers=2, timeout=120.0, poll_interval=0.01
+                spool_root, workers=0, timeout=120.0, poll_interval=0.01
             )
             result = ParallelCampaignRunner(backend=backend).run(
                 "demo/random_walk", seeds=[1, 2, 3, 4, 5, 6]
             )
         finally:
             disable_tracing()
+            for process in workers:
+                try:
+                    process.wait(timeout=60.0)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
         assert result.failures == 0
 
         # Whole-line appends: every line of every per-process trace file and

@@ -1,5 +1,5 @@
-"""Elastic spool scheduling: adaptive shards, speculation, stealing,
-cell deadlines, worker health, and spool fsck."""
+"""Spool gray-failure handling: cell deadlines, worker health, last-resort
+recovery, and spool fsck."""
 
 import json
 import random
@@ -17,13 +17,8 @@ from repro.distributed import (
     merge_spool_results,
     run_worker,
 )
-from repro.distributed.coordinator import _campaign_id
-from repro.distributed.scheduler import (
-    ElapsedStats,
-    ElasticScheduler,
-    param_signature,
-)
-from repro.distributed.spool import SpoolTask, shard_cells
+from repro.distributed.coordinator import republish_missing
+from repro.distributed.spool import shard_cells
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
@@ -36,14 +31,6 @@ def _demo_cells(seeds):
     spec = load_builtin_scenarios().get("demo/random_walk")
     run_specs = spec.runs(seeds=seeds)
     return spec, [(rs.params, rs.seed, rs.index) for rs in run_specs]
-
-
-def _serial_store(tmp_path, seeds, name="serial.jsonl"):
-    path = tmp_path / name
-    ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run(
-        "demo/random_walk", seeds=seeds
-    )
-    return path
 
 
 # --------------------------------------------------------------------------
@@ -92,32 +79,6 @@ class TestCellDeadline:
 
 
 # --------------------------------------------------------------------------
-# Adaptive shard sizing
-# --------------------------------------------------------------------------
-
-
-class TestElapsedStats:
-    def test_shard_size_scales_inverse_to_cell_cost(self):
-        stats = ElapsedStats()
-        stats.add("cheap", cells=1, elapsed_s=0.01)
-        stats.add("dear", cells=1, elapsed_s=1.0)
-        assert stats.shard_size("cheap", target_task_s=2.0, max_cells=32) == 32
-        assert stats.shard_size("dear", target_task_s=2.0, max_cells=32) == 2
-
-    def test_no_history_defaults_to_single_cell_shards(self):
-        assert ElapsedStats().shard_size("anything") == 1
-
-    def test_unprobed_signature_falls_back_to_global_median(self):
-        stats = ElapsedStats()
-        stats.add("seen", cells=2, elapsed_s=0.2)
-        assert stats.median_cell_s("never-seen") == pytest.approx(0.1)
-
-    def test_param_signature_ignores_nothing_but_is_canonical(self):
-        assert param_signature({"b": 1, "a": 2}) == param_signature({"a": 2, "b": 1})
-        assert param_signature({"a": 1}) != param_signature({"a": 2})
-
-
-# --------------------------------------------------------------------------
 # Worker health
 # --------------------------------------------------------------------------
 
@@ -152,188 +113,6 @@ class TestWorkerHealth:
         other = [random.Random("worker-2").random() for _ in range(3)]
         assert first == again
         assert first != other
-
-
-# --------------------------------------------------------------------------
-# Work stealing (split_pending)
-# --------------------------------------------------------------------------
-
-
-class TestWorkStealing:
-    def test_split_halves_preserve_cells_and_claim_order(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1, 2, 3, 4, 5])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=5)
-        spool.publish_task(task)
-        halves = spool.split_pending(task.task_id)
-        assert halves == (f"{task.task_id}-a", f"{task.task_id}-b")
-        pending = spool.pending_task_ids()
-        assert pending == sorted(pending)  # halves claim in run-list order
-        first = spool.claim(halves[0]).task
-        second = spool.claim(halves[1]).task
-        assert first.cells + second.cells == task.cells
-        assert len(first.cells) == 3 and len(second.cells) == 2
-
-    def test_half_ids_sort_between_parent_and_successor(self):
-        assert "task-00000" < "task-00000-a" < "task-00000-b" < "task-00001"
-
-    def test_too_small_tasks_are_requeued_not_split(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        assert spool.split_pending(task.task_id) is None
-        assert spool.pending_task_ids() == [task.task_id]
-
-    def test_campaign_with_one_oversized_task_splits_and_stays_byte_identical(
-        self, tmp_path
-    ):
-        serial = _serial_store(tmp_path, range(1, 9))
-        backend = SpoolBackend(
-            tmp_path / "spool",
-            workers=2,
-            task_size=8,  # one task; idle second worker must steal half
-            poll_interval=0.02,
-            timeout=120.0,
-        )
-        elastic = tmp_path / "elastic.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(elastic), backend=backend).run(
-            "demo/random_walk", seeds=range(1, 9)
-        )
-        assert result.failures == 0
-        assert serial.read_bytes() == elastic.read_bytes()
-        spool = Spool(tmp_path / "spool")
-        kinds = {event["kind"] for event in read_events(spool.events_path)}
-        assert kinds <= EVENT_KINDS
-        assert "shard_split" in kinds
-        assert spool.quarantined_task_ids() == []
-
-
-# --------------------------------------------------------------------------
-# Speculation
-# --------------------------------------------------------------------------
-
-
-class TestSpeculation:
-    def _scheduler(self, spool, **kwargs):
-        return ElasticScheduler(
-            spool,
-            "demo/random_walk",
-            publish=spool.publish_task,
-            make_task=lambda task_id, cells: SpoolTask(
-                task_id=task_id, scenario="demo/random_walk", cells=tuple(cells)
-            ),
-            speculation_min_age_s=0.5,
-            **kwargs,
-        )
-
-    def test_straggler_claim_gets_a_speculative_copy(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1, 2])
-        tasks = shard_cells(cells, "demo/random_walk", task_size=1)
-        for task in tasks:
-            spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        for task in tasks:
-            scheduler.register_published(task.task_id, cells=len(task.cells))
-        scheduler.stats.add(None, cells=1, elapsed_s=0.01)  # median known
-        claimed = spool.claim(tasks[0].task_id)
-        assert claimed is not None
-        spool.claim(tasks[1].task_id)  # queue empty; both claimed
-        scheduler.observe([], [tasks[0].task_id, tasks[1].task_id], now=100.0)
-        assert spool.pending_task_ids() == []  # not stragglers yet
-        scheduler.observe([], [tasks[0].task_id, tasks[1].task_id], now=110.0)
-        pending = spool.pending_task_ids()
-        assert f"{tasks[0].task_id}~1" in pending
-        assert scheduler.counters["speculated"] == 2
-        # One copy per task, ever: another poll must not re-speculate.
-        scheduler.observe([], [tasks[0].task_id], now=200.0)
-        assert scheduler.counters["speculated"] == 2
-
-    def test_speculative_copy_sorts_right_after_its_original(self):
-        assert "task-00001" < "task-00001~1" < "task-00002"
-
-    def test_stall_fault_suppresses_speculation(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        scheduler.register_published(task.task_id, cells=1)
-        scheduler.stats.add(None, cells=1, elapsed_s=0.01)
-        spool.claim(task.task_id)
-        plan = FaultPlan(
-            [FaultRule(point="scheduler.speculate", kind="stall", times=None)]
-        )
-        with armed(plan):
-            scheduler.observe([], [task.task_id], now=100.0)
-            scheduler.observe([], [task.task_id], now=110.0)
-        assert spool.pending_task_ids() == []
-        assert scheduler.counters["speculated"] == 0
-
-    def test_no_history_means_no_speculation(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        scheduler.register_published(task.task_id, cells=1)
-        spool.claim(task.task_id)
-        scheduler.observe([], [task.task_id], now=100.0)
-        scheduler.observe([], [task.task_id], now=1000.0)
-        assert spool.pending_task_ids() == []  # can't tell straggler from slow
-
-    def test_stalled_worker_loses_the_race_and_its_shard_is_superseded(
-        self, tmp_path, monkeypatch
-    ):
-        """Satellite: a worker stalled by an injected sleep holds its claim
-        past the speculation threshold; the copy's records win, the late
-        byte-identical twin is discarded at ingest with `task_superseded`,
-        and the merged store matches the serial run exactly."""
-        serial = _serial_store(tmp_path, range(1, 7))
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    point="worker.cell", kind="sleep",
-                    match={"task": "task-00000"}, args={"seconds": 1.5},
-                ),
-                FaultRule(
-                    point="worker.cell", kind="sleep",
-                    match={"task": "task-00002"}, args={"seconds": 3.0},
-                ),
-            ]
-        )
-        plan_path = plan.save(tmp_path / "plan.json")
-        monkeypatch.setenv(PLAN_ENV, str(plan_path))  # workers arm at import
-        backend = SpoolBackend(
-            tmp_path / "spool",
-            workers=2,
-            task_size=2,
-            lease_timeout=30.0,  # leases must outlive the injected stalls
-            poll_interval=0.02,
-            timeout=120.0,
-        )
-        elastic = tmp_path / "elastic.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(elastic), backend=backend).run(
-            "demo/random_walk", seeds=range(1, 7)
-        )
-        assert result.failures == 0
-        assert serial.read_bytes() == elastic.read_bytes()
-        spool = Spool(tmp_path / "spool")
-        kinds = {event["kind"] for event in read_events(spool.events_path)}
-        assert kinds <= EVENT_KINDS
-        assert "task_speculated" in kinds
-        assert "task_superseded" in kinds
-        assert spool.quarantined_task_ids() == []
-        # The spool's merged view is equally byte-identical, duplicates and all.
-        merged = tmp_path / "merged.jsonl"
-        merge_spool_results(spool, ResultStore(merged))
-        assert serial.read_bytes() == merged.read_bytes()
 
 
 # --------------------------------------------------------------------------
@@ -412,61 +191,42 @@ class TestCellTimeoutCampaign:
 
 
 # --------------------------------------------------------------------------
-# Adaptive campaigns
+# Task size and artifacts of the removed elastic policies
 # --------------------------------------------------------------------------
 
 
-class TestAdaptiveCampaign:
-    def test_adaptive_campaign_is_byte_identical_and_reports_counters(self, tmp_path):
-        serial = _serial_store(tmp_path, range(1, 9))
-        backend = SpoolBackend(
-            tmp_path / "spool",
-            workers=2,
-            task_size="adaptive",
-            poll_interval=0.02,
-            timeout=120.0,
-        )
-        adaptive = tmp_path / "adaptive.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(adaptive), backend=backend).run(
-            "demo/random_walk", seeds=range(1, 9)
-        )
-        assert result.failures == 0
-        assert serial.read_bytes() == adaptive.read_bytes()
-        spool = Spool(tmp_path / "spool")
-        events = read_events(spool.events_path)
-        assert {event["kind"] for event in events} <= EVENT_KINDS
-        (start,) = [event for event in events if event["kind"] == "campaign_start"]
-        assert start["tasks"] == 1  # one probe (single parameter signature)
-        progress = read_progress(spool.progress_path)
-        assert progress is not None and progress.complete
-        assert progress.scheduler.get("backlog_published", 0) >= 1
-
-    def test_adaptive_task_size_rejects_resume(self, tmp_path):
-        _, cells = _demo_cells([1, 2])
-        fixed = _campaign_id("demo/random_walk", cells, 2)
-        adaptive = _campaign_id("demo/random_walk", cells, "adaptive")
-        assert fixed != adaptive  # adaptive spools never match a fixed resume
-
+class TestTaskSize:
     def test_bad_task_size_strings_are_rejected(self):
-        with pytest.raises(ValueError):
-            SpoolBackend("unused-spool", task_size="huge")
+        for bad in ("huge", "adaptive", "auto", 0):
+            with pytest.raises(ValueError):
+                SpoolBackend("unused-spool", task_size=bad)
 
-    def test_progress_scheduler_field_round_trips(self, tmp_path):
-        from repro.observability.progress import ProgressTracker
+    def test_pre_v4_progress_and_events_still_read(self, tmp_path):
+        """Spools written while speculation and work stealing existed hold
+        a progress ``scheduler`` dict and ``task_speculated``/``shard_split``
+        events; readers skip the one and pass the others through."""
+        progress_path = tmp_path / "progress.json"
+        progress_path.write_text(
+            json.dumps(
+                {"version": 1, "scenario": "s", "total": 2, "done": 2,
+                 "complete": True, "scheduler": {"speculated": 1}}
+            )
+        )
+        progress = read_progress(progress_path)
+        assert progress is not None and progress.complete
+        assert "scheduler" not in progress.to_json_dict()
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text(
+            "".join(
+                json.dumps({"ts": 1.0, "kind": kind, "task": "task-00000"}) + "\n"
+                for kind in ("task_speculated", "shard_split", "task_claimed")
+            )
+        )
+        kinds = [event["kind"] for event in read_events(events_path)]
+        assert kinds == ["task_speculated", "shard_split", "task_claimed"]
+        assert "task_speculated" not in EVENT_KINDS
+        assert "shard_split" not in EVENT_KINDS
 
-        path = tmp_path / "progress.json"
-        tracker = ProgressTracker(path, scenario="s", backend="spool")
-        tracker.begin(total=4)
-        tracker.set_scheduler({"speculated": 2, "splits_observed": 1})
-        tracker.finish(complete=True)
-        progress = read_progress(path)
-        assert progress.scheduler == {"speculated": 2, "splits_observed": 1}
-        # Plain campaigns keep the v1 schema: no scheduler key at all.
-        plain = tmp_path / "plain.json"
-        plain_tracker = ProgressTracker(plain, scenario="s", backend="inline")
-        plain_tracker.begin(total=1)
-        plain_tracker.finish(complete=True)
-        assert "scheduler" not in json.loads(plain.read_text())
 
 
 # --------------------------------------------------------------------------
@@ -566,20 +326,87 @@ class TestRepublishMissing:
     def test_republish_missing_covers_the_cells(self, tmp_path):
         spool = Spool(tmp_path / "spool")
         spool.initialise()
-        scheduler = ElasticScheduler(
-            spool,
-            "demo/random_walk",
-            publish=spool.publish_task,
-            make_task=lambda task_id, cells: SpoolTask(
-                task_id=task_id, scenario="demo/random_walk", cells=tuple(cells)
-            ),
-        )
         _, cells = _demo_cells([1, 2, 3])
-        assert scheduler.republish_missing(cells) == 1
+        recovery = republish_missing(spool, "demo/random_walk", cells, spool.publish_task)
+        assert len(recovery) == 1
         (pending,) = spool.pending_task_ids()
         assert pending.startswith("task-r")
         assert len(spool.claim(pending).task.cells) == 3
-        assert scheduler.counters["republished_missing"] == 1
+        # Numbering continues past recovery ids the spool already holds.
+        (again,) = republish_missing(spool, "demo/random_walk", cells, spool.publish_task)
+        assert again.task_id == "task-r00001"
+
+
+    def test_torn_shard_under_a_held_claim_is_recovered_and_twins_discarded(
+        self, tmp_path
+    ):
+        """The drain-time republish and the first-shard-wins discard, driven
+        step by step by an external worker thread (``workers=0``)."""
+        import threading
+
+        from repro.distributed.worker import execute_task
+
+        seeds = [1, 2, 3]
+        serial = tmp_path / "serial.jsonl"
+        ParallelCampaignRunner(jobs=1, store=ResultStore(serial)).run(
+            "demo/random_walk", seeds=seeds
+        )
+        spool = Spool(tmp_path / "spool")
+        registry = load_builtin_scenarios()
+        failures = []
+
+        def wait_for(predicate):
+            deadline = time.monotonic() + 30.0
+            while not predicate():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("external worker step timed out")
+                time.sleep(0.01)
+
+        def external_worker():
+            try:
+                wait_for(lambda: "task-00001" in spool.pending_task_ids())
+                first = spool.claim("task-00000")
+                # Torn shard while the claim is held: the coordinator drops
+                # it but cannot republish a task that is still claimed.
+                torn = spool.results_dir / "task-00000.jsonl"
+                torn.write_text('{"index": 0')
+                wait_for(lambda: not torn.exists())
+                spool.release(first)
+                execute_task(spool.claim("task-00001"), spool, registry)
+                # A byte-identical twin of a settled shard loses to it.
+                spool.write_result_shard(
+                    "task-00001-twin", spool.read_result_shard("task-00001")
+                )
+                wait_for(lambda: "task-r00000" in spool.pending_task_ids())
+                execute_task(spool.claim("task-r00000"), spool, registry)
+            except Exception as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        backend = SpoolBackend(
+            spool.root, workers=0, task_size=2, timeout=60.0, poll_interval=0.01
+        )
+        thread = threading.Thread(target=external_worker)
+        thread.start()
+        store = tmp_path / "store.jsonl"
+        try:
+            result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+                "demo/random_walk", seeds=seeds
+            )
+        finally:
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert not failures
+        assert result.failures == 0
+        assert store.read_bytes() == serial.read_bytes()
+        events = read_events(spool.events_path)
+        assert {event["kind"] for event in events} <= EVENT_KINDS
+        assert [e["task"] for e in events if e["kind"] == "shard_torn"] == ["task-00000"]
+        superseded = [e["task"] for e in events if e["kind"] == "task_superseded"]
+        assert superseded == ["task-00001-twin"]
+        # The spool's merged view is equally byte-identical, twin and all.
+        merged = tmp_path / "merged.jsonl"
+        merge_spool_results(spool, ResultStore(merged))
+        assert merged.read_bytes() == serial.read_bytes()
 
 
 # --------------------------------------------------------------------------
@@ -588,12 +415,13 @@ class TestRepublishMissing:
 
 
 class TestElasticCli:
-    def test_task_size_accepts_adaptive_and_rejects_garbage(self, capsys):
-        rc = cli_main(
-            ["run", "demo/random_walk", "--seeds", "1", "--task-size", "huge"]
-        )
-        assert rc == 2
-        assert "--task-size" in capsys.readouterr().err
+    def test_task_size_rejects_garbage_and_adaptive(self, capsys):
+        for bad in ("huge", "adaptive"):
+            rc = cli_main(
+                ["run", "demo/random_walk", "--seeds", "1", "--task-size", bad]
+            )
+            assert rc == 2
+            assert "--task-size" in capsys.readouterr().err
 
     def test_cell_timeout_is_spool_only_and_positive(self, tmp_path, capsys):
         rc = cli_main(
