@@ -21,9 +21,9 @@ Effectiveness bookkeeping (first slice of ROADMAP item 5): every index
 counts its hits / misses / puts in-process and mirrors them into the
 global telemetry registry (``cache.hit`` / ``cache.miss`` / ``cache.put``
 counters).  :meth:`CacheIndex.flush_stats` appends the session's counts to
-a ``stats.jsonl`` ledger inside the cache root, so ``cache stats`` can
-report lifetime effectiveness across campaigns and hosts, not just the
-current process.
+a ``stats.jsonl`` ledger inside the cache root (format:
+:mod:`repro.observability.jsonl`), so ``cache stats`` can report lifetime
+effectiveness across campaigns and hosts, not just the current process.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.experiments.runner import RunRecord
+from repro.observability.jsonl import append_jsonl, read_jsonl
 from repro.observability.progress import atomic_write_text
 from repro.observability.telemetry import TELEMETRY
 from repro.resilience.faults import inject
@@ -181,11 +182,10 @@ class CacheIndex:
     def flush_stats(self) -> bool:
         """Append the not-yet-flushed session counts to the stats ledger.
 
-        The ledger (``stats.jsonl``) is append-only, one JSON line per
-        flush, shared by every process using the cache root — the same
-        whole-line-append pattern as the event log.  Flushing is
-        best-effort and idempotent per count: each call appends only the
-        delta since the previous flush.
+        The ledger (``stats.jsonl``) holds one row per flush, shared by
+        every process using the cache root.  Flushing is best-effort and
+        idempotent per count: each call appends only the delta since the
+        previous flush.
         """
         if self._degraded:
             return False
@@ -205,11 +205,9 @@ class CacheIndex:
         }
         if delta[3]:
             payload["repairs"] = delta[3]
-        line = json.dumps(payload, sort_keys=True)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            with self.stats_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_jsonl(self.stats_path, [payload])
         except OSError:
             return False
         self._flushed = (self.hits, self.misses, self.puts, self.repairs)
@@ -218,25 +216,11 @@ class CacheIndex:
     def lifetime_stats(self) -> Dict[str, int]:
         """Hit/miss/put/repair totals accumulated in the ledger across sessions."""
         totals = {"hits": 0, "misses": 0, "puts": 0, "repairs": 0}
-        try:
-            handle = self.stats_path.open("r", encoding="utf-8")
-        except OSError:
-            return totals
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                for name in totals:
-                    value = entry.get(name)
-                    if isinstance(value, int):
-                        totals[name] += value
+        for entry in read_jsonl(self.stats_path)[0]:
+            for name in totals:
+                value = entry.get(name)
+                if isinstance(value, int):
+                    totals[name] += value
         return totals
 
     # --------------------------------------------------------------- inventory

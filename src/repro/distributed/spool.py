@@ -11,7 +11,7 @@ lock-free work queue::
       claimed/task-00000.json  # claimed tasks; mtime is the lease heartbeat
       results/task-00000.jsonl # result shards (records + sha256 trailer)
       quarantine/task-00000.json # poison tasks retired after N failed claims
-      attempts.jsonl       # append-only reclaim/quarantine/reset ledger
+      attempts.jsonl       # reclaim/quarantine/reset ledger (repro.observability.jsonl)
 
 Claiming is a single ``os.rename(tasks/X, claimed/X)``: rename of an
 existing file is atomic on POSIX, so exactly one of any number of racing
@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.experiments.runner import RunRecord
 from repro.experiments.spec import jsonable
+from repro.observability.jsonl import append_jsonl, read_jsonl
 from repro.resilience.faults import inject
 
 # Canonical home is the observability layer (its progress files need the
@@ -478,27 +479,19 @@ class Spool:
         self._append_attempt(task_id, "reset")
         return True
 
+    def _attempts(self, task_id: str) -> List[Dict[str, Any]]:
+        """This task's attempts-ledger lines, in append order."""
+        entries, _ = read_jsonl(self.attempts_path)
+        return [entry for entry in entries if entry.get("task") == task_id]
+
     def reclaim_count(self, task_id: str) -> int:
         """Failed-claim count for a task since its last quarantine reset."""
         count = 0
-        try:
-            with self.attempts_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue  # torn ledger tail; ignore the fragment
-                    if entry.get("task") != task_id:
-                        continue
-                    if entry.get("event") == "reset":
-                        count = 0
-                    elif entry.get("event") in ("reclaim", "timeout"):
-                        count += 1
-        except OSError:
-            return count
+        for entry in self._attempts(task_id):
+            if entry.get("event") == "reset":
+                count = 0
+            elif entry.get("event") in ("reclaim", "timeout"):
+                count += 1
         return count
 
     def timeout_indices(self, task_id: str) -> Set[int]:
@@ -509,35 +502,18 @@ class Spool:
         cells ``error_class=CellTimeout`` (the rest stay
         ``TaskQuarantined``).
         """
-        indices: Set[int] = set()
-        try:
-            with self.attempts_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue
-                    if entry.get("task") != task_id:
-                        continue
-                    if entry.get("event") != "timeout" and entry.get("cause") != "timeout":
-                        continue
-                    index = entry.get("index")
-                    if isinstance(index, int):
-                        indices.add(index)
-        except OSError:
-            pass
-        return indices
+        return {
+            entry["index"]
+            for entry in self._attempts(task_id)
+            if "timeout" in (entry.get("event"), entry.get("cause"))
+            and isinstance(entry.get("index"), int)
+        }
 
     def _append_attempt(self, task_id: str, event: str, **extra: Any) -> None:
         entry = {"task": task_id, "event": event, "ts": round(time.time(), 6)}
         entry.update(extra)
-        line = json.dumps(entry, sort_keys=True)
         try:
-            with self.attempts_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_jsonl(self.attempts_path, [entry])
         except OSError:
             pass  # the ledger is advisory; losing a line only delays quarantine
 

@@ -1,7 +1,8 @@
 """JSONL persistence for campaign results.
 
-One line per run, keyed by the canonical ``(scenario, params, seed)`` key.
-A store is append-only on disk; re-running a campaign against an existing
+One line per run, keyed by the canonical ``(scenario, params, seed)`` key,
+in the append-only format of :mod:`repro.observability.jsonl` (which also
+states what a crash can lose).  Re-running a campaign against an existing
 store skips every run whose key already has a successful record (resume).
 Wall-clock durations are deliberately *not* serialised so that the stores
 written by parallel and serial executions of the same campaign are
@@ -13,13 +14,13 @@ byte-identity for coordinator merges done in run-list order.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.experiments.runner import RunRecord
+from repro.observability.jsonl import append_jsonl, read_jsonl
 
 
 class ResultStore:
@@ -43,27 +44,22 @@ class ResultStore:
         if self._loaded:
             return self._records
         self._loaded = True
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                        record = RunRecord.from_json_dict(payload)
-                    except (ValueError, KeyError, TypeError):
-                        self.malformed_lines += 1
-                        continue
-                    self._records[record.key] = record
-            if self.malformed_lines:
-                warnings.warn(
-                    f"{self.path}: skipped {self.malformed_lines} malformed "
-                    "JSONL line(s) (interrupted write?); the affected runs "
-                    "will re-execute on resume",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        rows, self.malformed_lines = read_jsonl(self.path, strict=True)
+        for payload in rows:
+            try:
+                record = RunRecord.from_json_dict(payload)
+            except (ValueError, KeyError, TypeError):
+                self.malformed_lines += 1
+                continue
+            self._records[record.key] = record
+        if self.malformed_lines:
+            warnings.warn(
+                f"{self.path}: skipped {self.malformed_lines} malformed "
+                "JSONL line(s) (interrupted write?); the affected runs "
+                "will re-execute on resume",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return self._records
 
     def get(self, key: str) -> Optional[RunRecord]:
@@ -95,11 +91,9 @@ class ResultStore:
             return
         self.load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            for record in records:
-                self._records[record.key] = record
-                handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-            handle.flush()
+        append_jsonl(self.path, (record.to_json_dict() for record in records))
+        for record in records:
+            self._records[record.key] = record
 
     # ------------------------------------------------------------------- merge
     def merge(self, records: Iterable[RunRecord], prefer_ok: bool = True) -> int:

@@ -23,6 +23,9 @@ ever touching the physics:
   propagated coordinator → task file → worker → cell → cache/shard, merged
   and exported as Chrome trace-event JSON (Perfetto) by the ``trace`` CLI.
   Off by default and free when off, like telemetry.
+* :mod:`repro.observability.jsonl` — the append-only JSONL format, with
+  its torn-tail and durability rules, behind every ``*.jsonl`` file above
+  and the result store.
 * :mod:`repro.observability.ledger` — the per-cell ``ledger.jsonl`` run
   ledger (scenario, params hash, seed, attempts, executed_by, queue-wait
   and run durations) every backend appends to when tracing is on: the

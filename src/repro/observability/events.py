@@ -1,11 +1,10 @@
 """Append-only JSONL event log for campaign observability.
 
-Every interesting campaign transition is one JSON line appended to a
-shared ``events.jsonl`` (for spool campaigns it lives inside the spool
-directory, next to ``progress.json``).  Appends are a single small
-``write()`` on a file opened in append mode, so concurrent workers and the
-coordinator interleave whole lines, never fragments, and file order is the
-global append order.
+Every interesting campaign transition is one row appended to a shared
+``events.jsonl`` (for spool campaigns it lives inside the spool directory,
+next to ``progress.json``), in the whole-line append format of
+:mod:`repro.observability.jsonl`: concurrent workers and the coordinator
+interleave whole lines, and file order is the global append order.
 
 The taxonomy is closed (:data:`EVENT_KINDS`) so consumers — ``tail``, the
 tests, the future control plane — can rely on it:
@@ -56,12 +55,12 @@ drop and never fails the campaign.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.observability.jsonl import append_jsonl, follow_jsonl, read_jsonl
 from repro.resilience.faults import inject
 
 EVENT_KINDS = frozenset(
@@ -117,8 +116,7 @@ class EventLog:
         event.update(fields)
         try:
             inject("events.emit", kind=kind)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            append_jsonl(self.path, [event])
         except OSError:
             self.dropped += 1
             return None
@@ -129,27 +127,11 @@ def read_events(
     path: Union[str, os.PathLike], kinds: Optional[Iterable[str]] = None
 ) -> List[Dict[str, Any]]:
     """Every parseable event in file order; missing file yields ``[]``."""
-    wanted = frozenset(kinds) if kinds is not None else None
-    events: List[Dict[str, Any]] = []
-    try:
-        handle = Path(path).open("r", encoding="utf-8")
-    except OSError:
+    events, _ = read_jsonl(path)
+    if kinds is None:
         return events
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a live log
-            if not isinstance(event, dict):
-                continue
-            if wanted is not None and event.get("kind") not in wanted:
-                continue
-            events.append(event)
-    return events
+    wanted = frozenset(kinds)
+    return [event for event in events if event.get("kind") in wanted]
 
 
 def follow_events(
@@ -158,41 +140,10 @@ def follow_events(
     stop: Optional[Callable[[], bool]] = None,
     kinds: Optional[Iterable[str]] = None,
 ) -> Iterator[Dict[str, Any]]:
-    """Yield events as they are appended (``tail --follow``).
-
-    Polls the file for growth; returns once ``stop()`` is truthy *and* no
-    unread data remains (so events racing the stop condition still drain).
-    Without ``stop`` it follows forever — callers handle KeyboardInterrupt.
-    """
+    """Yield events as they are appended (``tail --follow``); see
+    :func:`~repro.observability.jsonl.follow_jsonl`.  Without ``stop`` it
+    follows forever — callers handle KeyboardInterrupt."""
     wanted = frozenset(kinds) if kinds is not None else None
-    path = Path(path)
-    offset = 0
-    buffer = b""
-    while True:
-        try:
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-        except OSError:
-            chunk = b""
-        if chunk:
-            offset += len(chunk)
-            buffer += chunk
-            *lines, buffer = buffer.split(b"\n")
-            for raw in lines:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    event = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if wanted is not None and event.get("kind") not in wanted:
-                    continue
-                yield event
-        else:
-            if stop is not None and stop():
-                return
-            time.sleep(poll_interval)
+    for event in follow_jsonl(path, poll_interval=poll_interval, stop=stop):
+        if wanted is None or event.get("kind") in wanted:
+            yield event

@@ -10,12 +10,11 @@ canonical params payload>", "seed": ..., "key": ..., "status": "ok" |
 "failed", "executed_by": "inline|process|spool|vector|cache|store",
 "attempts": N, "queue_wait_s": ..., "run_s": ..., "worker": ...}``
 
-Like ``events.jsonl`` and the trace files, the ledger is append-only
-with whole-line writes — one small ``write()`` per row on an append-mode
-handle — so concurrent workers interleave whole rows and a crash loses
-at most the row being written.  Readers tolerate torn trailing lines and
-unknown fields.  The ledger (like tracing) is opt-in via ``--trace`` and
-never contributes to result bytes.
+Like ``events.jsonl`` and the trace files, the ledger uses the
+append-only format of :mod:`repro.observability.jsonl`, so concurrent
+workers interleave whole rows and readers skip a torn tail.  The ledger
+(like tracing) is opt-in via ``--trace`` and never contributes to result
+bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
+
+from repro.observability.jsonl import append_jsonl, read_jsonl
 
 LEDGER_VERSION = 1
 LEDGER_FILENAME = "ledger.jsonl"
@@ -107,8 +108,7 @@ class RunLedger:
         if span is not None:
             row["span"] = span
         try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+            append_jsonl(self.path, [row])
             self.rows += 1
         except OSError:
             self.dropped += 1
@@ -116,23 +116,7 @@ class RunLedger:
 
 def read_ledger(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
     """All well-formed ledger rows at ``path`` (torn trailing lines skipped)."""
-    rows: List[Dict[str, Any]] = []
-    try:
-        handle = Path(path).open("r", encoding="utf-8")
-    except OSError:
-        return rows
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(row, dict) and "scenario" in row:
-                rows.append(row)
-    return rows
+    return [row for row in read_jsonl(path)[0] if "scenario" in row]
 
 
 def summarize_ledger(rows: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

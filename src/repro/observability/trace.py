@@ -14,9 +14,9 @@ children, the vector backend — stitched together by explicit ids:
 
 Spans append to per-process ``trace-<pid>.jsonl`` files in the trace
 directory (the spool root for spool campaigns, ``<store>.trace/``
-otherwise) with the same whole-line append discipline as ``events.jsonl``:
-one small ``write()`` on an append-mode handle, so a crashing process
-loses at most its open spans, never tears a line another process wrote.
+otherwise) in the whole-line append format of
+:mod:`repro.observability.jsonl`, so a crashing process loses at most its
+open spans, never tears a line another process wrote.
 
 **Off by default, free when off.**  The process-global :data:`TRACER` is
 disabled unless explicitly configured (``run --trace`` / ``REPRO_TRACE_DIR``);
@@ -37,13 +37,14 @@ the per-process append counter; the merge orders spans monotonic-in-process
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.observability.jsonl import append_jsonl, read_jsonl
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -280,8 +281,7 @@ class Tracer:
             self._seq += 1
             event["seq"] = self._seq
             try:
-                with path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(event, sort_keys=True) + "\n")
+                append_jsonl(path, [event])
             except OSError:
                 self.dropped += 1
 
@@ -342,23 +342,7 @@ _adopt_env_tracing()
 
 def read_trace_file(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
     """One process's spans in file (= monotonic-in-process) order."""
-    spans: List[Dict[str, Any]] = []
-    try:
-        handle = Path(path).open("r", encoding="utf-8")
-    except OSError:
-        return spans
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                span = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a live trace
-            if isinstance(span, dict) and "ts" in span:
-                spans.append(span)
-    return spans
+    return [span for span in read_jsonl(path)[0] if "ts" in span]
 
 
 def resolve_trace_dir(target: Union[str, os.PathLike]) -> Path:
